@@ -468,16 +468,26 @@ pub fn select_codec_over_blocks(sample_blocks: &[&[Entry]]) -> BlockCodec {
     if training.is_empty() {
         return BlockCodec::Raw;
     }
-    let candidates = [
-        CodecSpec::Pbc(PbcConfig::default()),
-        CodecSpec::PbcF(PbcConfig::default()),
+    // `PBC` and `PBC_F` extract the same dictionary from the same sample,
+    // so train once and build plain `PBC` from `PBC_F`'s dictionary.
+    let config = PbcConfig::default();
+    let values: Vec<&[u8]> = training.iter().map(|(_, v)| v.as_slice()).collect();
+    let pbc_f = PbcCompressor::train_fsst(&values, &config);
+    let pbc = PbcCompressor::from_dictionary(pbc_f.dictionary().clone(), &config);
+    let pbc_candidates = [(pbc, false), (pbc_f, true)].map(|(compressor, fsst)| BlockCodec::Pbc {
+        compressor: Arc::new(compressor),
+        fsst,
+    });
+    let others = [
         CodecSpec::Zstd { level: 3 },
         CodecSpec::Fsst,
         CodecSpec::Raw,
     ];
+    let candidates = pbc_candidates
+        .into_iter()
+        .chain(others.iter().map(|spec| build_codec(spec, training)));
     let mut best: Option<(usize, BlockCodec)> = None;
-    for spec in &candidates {
-        let codec = build_codec(spec, training);
+    for codec in candidates {
         let size = sample_blocks
             .iter()
             .map(|block| codec.compress_block(block).len())
@@ -613,6 +623,27 @@ mod tests {
         assert_ne!(codec.id(), codec_id::RAW);
         let compressed = codec.compress_block(&entries).len();
         assert!(compressed < serialized_len(&entries) / 2);
+    }
+
+    #[test]
+    fn selection_shares_one_training_between_pbc_and_pbc_f() {
+        let entries = sample_entries(256);
+        let config = PbcConfig::default();
+        let values: Vec<&[u8]> = entries.iter().map(|(_, v)| v.as_slice()).collect();
+        let pbc_f = PbcCompressor::train_fsst(&values, &config);
+        let shared = BlockCodec::Pbc {
+            compressor: Arc::new(PbcCompressor::from_dictionary(
+                pbc_f.dictionary().clone(),
+                &config,
+            )),
+            fsst: false,
+        };
+        let trained = build_codec(&CodecSpec::Pbc(config), &entries);
+        assert_eq!(shared.artifacts(), trained.artifacts());
+        assert_eq!(
+            shared.compress_block(&entries),
+            trained.compress_block(&entries)
+        );
     }
 
     #[test]

@@ -7,13 +7,40 @@
 //! pair of clusters with the smallest encoding-length increment until only
 //! `target_clusters` remain. Candidate pairs are kept in a lazy priority
 //! queue: with pruning enabled a pair enters the queue with its cheap 1-gram
-//! lower bound and is only evaluated with the exact `O(n·m)` dynamic program
-//! when it reaches the front — the same work-avoidance idea as the paper's
-//! pruning strategy, organised so the result stays identical to the
-//! exhaustive computation.
+//! estimate and is only evaluated with the exact `O(n·m)` dynamic program
+//! ([`crate::dp`]'s packed-key kernel) when it reaches the front — the
+//! paper's work-avoidance idea, organised as a lazy queue rather than
+//! threshold pruning.
+//!
+//! ### Speculative scoring
+//!
+//! Nearly all training time is spent in those exact evaluations, and they
+//! reach the front one at a time. When the front is an un-scored candidate,
+//! the loop takes up to 16 live un-scored candidates from the front of the
+//! queue, scores them on `available_parallelism()` scoped threads into a
+//! memo keyed by the pair's cluster stamps, and puts every entry back. The
+//! sequential loop then runs unchanged and reads scores from the memo. A
+//! memo entry leaves when its pair is consumed or when either cluster is
+//! merged away, so the memo stays small.
+//!
+//! **Guarantee:** clusters, `merges`, `exact_evaluations` (which counts the
+//! scores the loop requests, not the speculative work) and `pruned_pairs`
+//! are identical to the sequential lazy queue for any worker count. The
+//! queue orders candidates by `(score, stamp, stamp)`, a total order, and a
+//! pair's score is a pure function of its two clusters, which never change
+//! while their stamps are live.
+//!
+//! Before clustering, the sample is checked once against the DP's
+//! packed-key range (`|state| < 2^40`, `kept < 2^20`): the sequence cap is
+//! held below `2^20` literals and, like long-record samples in
+//! [`crate::extraction`], an out-of-range sample keeps only the prefix that
+//! fits.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::thread;
 
 use crate::cluster::{Cluster, PatElem};
 use crate::dp;
@@ -75,6 +102,11 @@ pub struct ClusteringResult {
     pub pruned_pairs: usize,
 }
 
+/// Most candidates [`speculate`] scores in one batch.
+const SPECULATION_BATCH: usize = 16;
+/// Most queue entries [`speculate`] examines to fill one batch.
+const SPECULATION_WINDOW: usize = 4 * SPECULATION_BATCH;
+
 /// Heap entry: candidate merge of two clusters identified by generation
 /// stamps. `exact` records whether `score` is the exact criterion value or
 /// the cheap lower bound.
@@ -104,6 +136,29 @@ impl PartialOrd for Candidate {
 /// Greedy agglomerative clustering of `samples` under the given
 /// configuration.
 pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> ClusteringResult {
+    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    cluster_records_with_workers(samples, config, workers)
+}
+
+/// [`cluster_records`] with speculative scoring on `workers` threads (one
+/// thread scores sequentially). The result does not depend on `workers`.
+fn cluster_records_with_workers(
+    samples: &[Vec<u8>],
+    config: &ClusteringConfig,
+    workers: usize,
+) -> ClusteringResult {
+    // --- Keep the DP's packed cell keys exact (see `dp`): cap the sequence
+    // length and, like `extract_from_samples` does for long records, keep a
+    // prefix of the sample small enough for its total weight. ---
+    let max_cs_len = config.max_cs_len.min(dp::LITERAL_LIMIT - 1);
+    let longest = samples
+        .iter()
+        .map(Vec::len)
+        .max()
+        .unwrap_or(0)
+        .min(max_cs_len);
+    let samples = &samples[..samples.len().min(dp::max_packed_weight(longest))];
+
     // --- Deduplicate identical records (they trivially share a pattern). ---
     // pbc-allow(determinism): lookup-only dedup index, never iterated; slot order follows input order
     let mut first_index: HashMap<&[u8], usize> = HashMap::new();
@@ -135,7 +190,7 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
     let mut stamps: u64 = 0;
     let mut active: BTreeMap<u64, Cluster> = BTreeMap::new();
     for (slot, &rep) in representatives.iter().enumerate() {
-        let mut cluster = Cluster::singleton(rep, &samples[rep], weights[slot], config.max_cs_len);
+        let mut cluster = Cluster::singleton(rep, &samples[rep], weights[slot], max_cs_len);
         cluster.members.extend(extra_members[slot].iter().copied());
         active.insert(stamps, cluster);
         stamps += 1;
@@ -166,6 +221,9 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
     }
 
     // --- Greedy merging. ---
+    // Exact scores computed ahead of the loop by `speculate`, keyed by the
+    // candidate's stamps. A score stays valid while both clusters are live.
+    let mut memo: BTreeMap<(u64, u64), i64> = BTreeMap::new();
     while active.len() > config.target_clusters {
         let Some(Reverse(cand)) = heap.pop() else {
             break;
@@ -179,7 +237,21 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
         };
         if !cand.exact {
             // Lazily replace the lower bound with the exact value and requeue.
-            let exact = exact_score(ca, cb, config.criterion, &mut result);
+            let key = (cand.a, cand.b);
+            if workers > 1 && !memo.contains_key(&key) {
+                speculate(
+                    &mut heap,
+                    &active,
+                    key,
+                    config.criterion,
+                    workers,
+                    &mut memo,
+                );
+            }
+            let exact = memo
+                .remove(&key)
+                .unwrap_or_else(|| score(ca, cb, config.criterion));
+            result.exact_evaluations += 1;
             heap.push(Reverse(Candidate {
                 score: exact,
                 a: cand.a,
@@ -194,6 +266,8 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
         let merged = Cluster::merged_from(ca, cb, merged_cs);
         active.remove(&cand.a);
         active.remove(&cand.b);
+        let gone = [cand.a, cand.b];
+        memo.retain(|(a, b), _| !gone.contains(a) && !gone.contains(b));
         let new_id = stamps;
         stamps += 1;
         result.merges += 1;
@@ -208,6 +282,66 @@ pub fn cluster_records(samples: &[Vec<u8>], config: &ClusteringConfig) -> Cluste
 
     result.clusters = active.into_values().collect();
     result
+}
+
+/// Exactly score up to [`SPECULATION_BATCH`] live, un-scored candidates
+/// from the front of the queue, `first` among them, on `workers` threads,
+/// and record the scores in `memo`.
+///
+/// Every entry examined goes back into the queue unchanged, so the
+/// sequential loop still pops the same candidates in the same order; it
+/// only finds some scores already computed. Which pairs get scored ahead
+/// therefore changes the work done, never the result.
+fn speculate(
+    heap: &mut BinaryHeap<Reverse<Candidate>>,
+    active: &BTreeMap<u64, Cluster>,
+    first: (u64, u64),
+    criterion: Criterion,
+    workers: usize,
+    memo: &mut BTreeMap<(u64, u64), i64>,
+) {
+    let mut batch = vec![first];
+    let mut examined = Vec::with_capacity(SPECULATION_WINDOW);
+    while batch.len() < SPECULATION_BATCH && examined.len() < SPECULATION_WINDOW {
+        let Some(Reverse(cand)) = heap.pop() else {
+            break;
+        };
+        examined.push(Reverse(cand));
+        let key = (cand.a, cand.b);
+        let live = active.contains_key(&cand.a) && active.contains_key(&cand.b);
+        if !cand.exact && live && !memo.contains_key(&key) {
+            batch.push(key);
+        }
+    }
+    heap.extend(examined);
+
+    let scores: Vec<AtomicI64> = batch.iter().map(|_| AtomicI64::new(0)).collect();
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        // The scope's join orders these stores before the reads below.
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(a, b)) = batch.get(i) else {
+            break;
+        };
+        scores[i].store(
+            score(&active[&a], &active[&b], criterion),
+            Ordering::Relaxed,
+        );
+    };
+    thread::scope(|scope| {
+        for _ in 1..workers.min(batch.len()) {
+            // If a helper cannot start, the calling thread scores its share.
+            if thread::Builder::new().spawn_scoped(scope, work).is_err() {
+                break;
+            }
+        }
+        work();
+    });
+    memo.extend(
+        batch
+            .into_iter()
+            .zip(scores.into_iter().map(AtomicI64::into_inner)),
+    );
 }
 
 /// Build the initial candidate entry for a pair: the exact score when
@@ -231,9 +365,9 @@ fn seed_candidate(
             exact: false,
         }
     } else {
-        let score = exact_score(ca, cb, config.criterion, result);
+        result.exact_evaluations += 1;
         Candidate {
-            score,
+            score: score(ca, cb, config.criterion),
             a,
             b,
             exact: true,
@@ -242,13 +376,7 @@ fn seed_candidate(
 }
 
 /// Exact criterion value for a pair of clusters.
-fn exact_score(
-    ca: &Cluster,
-    cb: &Cluster,
-    criterion: Criterion,
-    result: &mut ClusteringResult,
-) -> i64 {
-    result.exact_evaluations += 1;
+fn score(ca: &Cluster, cb: &Cluster, criterion: Criterion) -> i64 {
     match criterion {
         Criterion::EncodingLength => {
             dp::min_encoding_length_increment(&ca.cs, &cb.cs, ca.weight, cb.weight)
@@ -461,5 +589,77 @@ mod tests {
         let result = cluster_records(&[], &ClusteringConfig::default());
         assert!(result.clusters.is_empty());
         assert_eq!(result.merges, 0);
+    }
+
+    /// `records.len() / count`-strided sample, as Table 3 trains.
+    fn strided(records: &[Vec<u8>], count: usize) -> Vec<&[u8]> {
+        let step = (records.len() / count).max(1);
+        records
+            .iter()
+            .step_by(step)
+            .take(count)
+            .map(Vec::as_slice)
+            .collect()
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn result_does_not_depend_on_the_worker_count() {
+        let records = pbc_datagen::Dataset::Hdfs.generate(4000, 11);
+        let samples: Vec<Vec<u8>> = strided(&records, 96)
+            .into_iter()
+            .map(<[u8]>::to_vec)
+            .collect();
+        let config = ClusteringConfig {
+            target_clusters: 8,
+            ..ClusteringConfig::default()
+        };
+        let summary = |workers| {
+            let r = cluster_records_with_workers(&samples, &config, workers);
+            let clusters: Vec<_> = r
+                .clusters
+                .iter()
+                .map(|c| (c.cs.clone(), c.members.clone(), c.weight))
+                .collect();
+            (clusters, r.merges, r.exact_evaluations, r.pruned_pairs)
+        };
+        let sequential = summary(1);
+        assert!(
+            sequential.2 > SPECULATION_BATCH,
+            "speculation must get to run"
+        );
+        for workers in [2, 4] {
+            assert_eq!(summary(workers), sequential, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn pbc_f_dictionaries_match_the_sequential_four_table_reference() {
+        // Dictionary hashes and exact-evaluation counts recorded with the
+        // sequential lazy queue over the original four-table DP. A change
+        // here changes every compressed byte the dictionary produces.
+        use pbc_datagen::Dataset;
+        let golden = [
+            (Dataset::Android, 0x4780_84d1_7c82_2219, 933),
+            (Dataset::Hdfs, 0x45fd_b0ea_b359_1d56, 1226),
+            (Dataset::Kv2, 0x110b_cbcb_f679_f634, 2781),
+        ];
+        for (dataset, hash, evaluations) in golden {
+            let records = dataset.generate(2000, 7);
+            let pbc = crate::PbcCompressor::train_fsst(
+                &strided(&records, 64),
+                &crate::PbcConfig::small(),
+            );
+            let name = dataset.name();
+            assert_eq!(fnv1a64(&pbc.dictionary().serialize()), hash, "{name}");
+            let report = pbc.extraction_report().expect("trained, not loaded");
+            assert_eq!(report.exact_evaluations, evaluations, "{name}");
+        }
     }
 }

@@ -150,7 +150,8 @@ mod tests {
 
     #[test]
     fn flagged_counts_survive_the_footer_across_worker_counts() {
-        let records = keyed_records(2_400);
+        // Past writer::PARALLEL_MIN_BYTES, so four workers run the pool.
+        let records = keyed_records(16_000);
         for workers in [1usize, 4] {
             let (path, _guard) = temp_segment("flagged");
             let mut writer =
@@ -165,6 +166,7 @@ mod tests {
                     writer.append(key, value).unwrap();
                 }
             }
+            assert_eq!(writer.pool_spawned(), workers > 1, "workers={workers}");
             let summary = writer.finish().unwrap();
             assert_eq!(summary.flagged_count, flagged);
 
@@ -270,18 +272,60 @@ mod tests {
 
     #[test]
     fn parallel_writer_produces_byte_identical_segments() {
-        let records = keyed_records(3_000);
+        // Past writer::PARALLEL_MIN_BYTES, so four workers run the pool.
+        let records = keyed_records(16_000);
         let (path_single, _g1) = temp_segment("single");
         let (path_parallel, _g2) = temp_segment("parallel");
-        write_segment(&path_single, &records, SegmentConfig::default());
         write_segment(
-            &path_parallel,
+            &path_single,
             &records,
-            SegmentConfig::default().with_workers(4),
+            SegmentConfig::default().with_workers(1),
         );
+        let mut writer =
+            SegmentWriter::create(&path_parallel, SegmentConfig::default().with_workers(4))
+                .unwrap();
+        for (key, value) in &records {
+            writer.append(key, value).unwrap();
+        }
+        assert!(writer.pool_spawned(), "four workers must run the pool");
+        writer.finish().unwrap();
         let single = std::fs::read(&path_single).unwrap();
         let parallel = std::fs::read(&path_parallel).unwrap();
         assert_eq!(single, parallel, "worker count must not change the file");
+    }
+
+    #[test]
+    fn pool_spawns_only_past_the_inline_threshold_and_keeps_bytes_identical() {
+        // ~130 estimated bytes per record: 6k records stay under
+        // PARALLEL_MIN_BYTES, 16k cross it.
+        let per_record = |(k, v): &(Vec<u8>, Vec<u8>)| entry_size_estimate(k.len(), v.len());
+        for (count, pooled) in [(6_000, false), (16_000, true)] {
+            let records = keyed_records(count);
+            let estimated: usize = records.iter().map(per_record).sum();
+            assert_eq!(
+                estimated >= writer::PARALLEL_MIN_BYTES,
+                pooled,
+                "{estimated}"
+            );
+            for codec in [CodecSpec::Auto, CodecSpec::Zstd { level: 3 }] {
+                let (path_single, _g1) = temp_segment("inline-single");
+                let (path_parallel, _g2) = temp_segment("inline-parallel");
+                let config = SegmentConfig::with_codec(codec.clone());
+                write_segment(&path_single, &records, config.clone().with_workers(1));
+                let mut writer =
+                    SegmentWriter::create(&path_parallel, config.with_workers(4)).unwrap();
+                for (key, value) in &records {
+                    writer.append(key, value).unwrap();
+                }
+                assert_eq!(writer.pool_spawned(), pooled, "{count} records, {codec:?}");
+                writer.finish().unwrap();
+                assert_eq!(
+                    std::fs::read(&path_single).unwrap(),
+                    std::fs::read(&path_parallel).unwrap(),
+                    "{count} records, {codec:?}: worker count must not change the file"
+                );
+            }
+        }
     }
 
     #[test]

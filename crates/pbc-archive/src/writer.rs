@@ -1,10 +1,13 @@
 //! Streaming segment writer with a worker pool for block compression.
 //!
-//! Records accumulate into blocks of roughly `target_block_bytes`; each
-//! full block is handed to a `std::thread` worker pool as `(sequence,
-//! entries)`, compressed independently, and reassembled in sequence order
-//! before hitting the file — so a segment written with N workers is
-//! byte-identical to one written single-threaded.
+//! Records accumulate into blocks of roughly `target_block_bytes`. Blocks
+//! are compressed inline until the segment's closed payload reaches
+//! [`PARALLEL_MIN_BYTES`] (1 MiB); from then on, with more than one
+//! [`SegmentConfig::workers`] (the default is one per core), each full
+//! block is handed to a `std::thread` worker pool as `(sequence, entries)`,
+//! compressed independently, and reassembled in sequence order before
+//! hitting the file — so a segment written with N workers is byte-identical
+//! to one written single-threaded, and small segments spawn no threads.
 //!
 //! The block codec is fixed once: forced specs train on the first block as
 //! it closes, while [`CodecSpec::Auto`] buffers a window of blocks
@@ -18,6 +21,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -30,6 +34,12 @@ use crate::format::{
 };
 use crate::obs::WriterObs;
 
+/// Closed block payload (the writer's size estimate) a segment must reach
+/// before [`SegmentWriter`] spawns its worker pool: below it, thread
+/// start-up and per-thread memory outweigh what parallel compression of a
+/// few blocks saves.
+pub const PARALLEL_MIN_BYTES: usize = 1 << 20;
+
 /// Tuning for [`SegmentWriter`].
 #[derive(Debug, Clone)]
 pub struct SegmentConfig {
@@ -39,7 +49,11 @@ pub struct SegmentConfig {
     pub max_block_records: usize,
     /// Which codec to use (or how to pick one).
     pub codec: CodecSpec,
-    /// Compression worker threads. `0` and `1` both mean inline (no pool).
+    /// Compression worker threads; defaults to one per core
+    /// (`std::thread::available_parallelism`). `0` and `1` both mean
+    /// inline (no pool). Either way the first [`PARALLEL_MIN_BYTES`] of a
+    /// segment compress inline, so small segments spawn no threads, and
+    /// the output bytes do not depend on this value.
     pub workers: usize,
     /// For [`CodecSpec::Auto`]: buffer up to this many closed blocks before
     /// committing to a codec, so selection can sample across the input
@@ -61,7 +75,7 @@ impl Default for SegmentConfig {
             target_block_bytes: 64 * 1024,
             max_block_records: 4096,
             codec: CodecSpec::Auto,
-            workers: 1,
+            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             auto_sample_window: 16,
             auto_sample_blocks: 4,
             read_mode: crate::ReadMode::Auto,
@@ -235,44 +249,45 @@ struct Pool {
 }
 
 impl Pool {
-    fn spawn(codec: Arc<BlockCodec>, workers: usize, obs: WriterObs) -> Pool {
+    /// Start `workers` compression threads. If the OS refuses a thread,
+    /// the ones already started are shut down and joined (the partial
+    /// pool drops) and the error is returned.
+    fn spawn(codec: Arc<BlockCodec>, workers: usize, obs: WriterObs) -> std::io::Result<Pool> {
         let (work_tx, work_rx) = mpsc::sync_channel::<(u64, BlockJob)>(workers * 2);
         let (result_tx, result_rx) = mpsc::channel();
         let work_rx = Arc::new(Mutex::new(work_rx));
-        let handles = (0..workers)
-            .map(|worker| {
-                let work_rx = Arc::clone(&work_rx);
-                let result_tx = result_tx.clone();
-                let codec = Arc::clone(&codec);
-                let obs = obs.clone();
-                std::thread::Builder::new()
-                    .name(format!("pbc-archive-compress-{worker}"))
-                    .spawn(move || loop {
-                        // pbc-allow(panic): queue mutex poisoning means a sibling worker panicked; abort this one too
-                        let job = work_rx.lock().expect("worker queue poisoned").recv();
-                        match job {
-                            Ok((seq, block)) => {
-                                // A send error means the writer is gone; just
-                                // stop, it can no longer use the result.
-                                if result_tx
-                                    .send((seq, compress_one(&codec, block, &obs)))
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                            Err(_) => return,
-                        }
-                    })
-                    // pbc-allow(panic): OS thread-spawn failure at pool creation is not a recoverable write error
-                    .expect("spawning compression worker")
-            })
-            .collect();
-        Pool {
+        let mut pool = Pool {
             work_tx: Some(work_tx),
             result_rx,
-            handles,
+            handles: Vec::with_capacity(workers),
+        };
+        for worker in 0..workers {
+            let work_rx = Arc::clone(&work_rx);
+            let result_tx = result_tx.clone();
+            let codec = Arc::clone(&codec);
+            let obs = obs.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("pbc-archive-compress-{worker}"))
+                .spawn(move || loop {
+                    // pbc-allow(panic): queue mutex poisoning means a sibling worker panicked; abort this one too
+                    let job = work_rx.lock().expect("worker queue poisoned").recv();
+                    match job {
+                        Ok((seq, block)) => {
+                            // A send error means the writer is gone; just
+                            // stop, it can no longer use the result.
+                            if result_tx
+                                .send((seq, compress_one(&codec, block, &obs)))
+                                .is_err()
+                            {
+                                return;
+                            }
+                        }
+                        Err(_) => return,
+                    }
+                })?;
+            pool.handles.push(handle);
         }
+        Ok(pool)
     }
 
     fn shutdown(&mut self) {
@@ -303,6 +318,9 @@ pub struct SegmentWriter {
     pool: Option<Pool>,
     current: Vec<Entry>,
     current_bytes: usize,
+    /// Estimated payload of every block closed so far; the pool spawns
+    /// once it reaches [`PARALLEL_MIN_BYTES`].
+    closed_bytes: usize,
     /// Flagged records in the current (open) block.
     current_flagged: u64,
     /// Closed blocks held back while [`CodecSpec::Auto`] waits for its
@@ -378,6 +396,7 @@ impl SegmentWriter {
             pool: None,
             current: Vec::new(),
             current_bytes: 0,
+            closed_bytes: 0,
             current_flagged: 0,
             pending: Vec::new(),
             sorted: true,
@@ -443,6 +462,12 @@ impl SegmentWriter {
         self.record_count
     }
 
+    /// Whether the worker pool is running (tests of the inline threshold).
+    #[cfg(test)]
+    pub(crate) fn pool_spawned(&self) -> bool {
+        self.pool.is_some()
+    }
+
     /// The codec the segment committed to, if the first block has closed.
     pub fn codec_name(&self) -> Option<&'static str> {
         self.codec.as_ref().map(|c| c.name())
@@ -459,7 +484,7 @@ impl SegmentWriter {
             entries: std::mem::take(&mut self.current),
             flagged: std::mem::take(&mut self.current_flagged),
         };
-        self.current_bytes = 0;
+        self.closed_bytes += std::mem::take(&mut self.current_bytes);
         if self.codec.is_none() {
             if matches!(self.config.codec, CodecSpec::Auto) {
                 self.pending.push(job);
@@ -474,7 +499,9 @@ impl SegmentWriter {
     }
 
     /// Hand a closed block to the worker pool (or compress it inline) once a
-    /// codec is committed.
+    /// codec is committed. The pool spawns on the first block dispatched
+    /// after the closed payload reaches [`PARALLEL_MIN_BYTES`]; every
+    /// earlier block is already written, so order is preserved.
     fn dispatch_block(&mut self, job: BlockJob) -> Result<()> {
         let codec = Arc::clone(
             self.codec
@@ -484,19 +511,17 @@ impl SegmentWriter {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.config.workers > 1 {
-            if self.pool.is_none() {
-                self.pool = Some(Pool::spawn(
-                    Arc::clone(&codec),
-                    self.config.workers,
-                    self.obs.clone(),
-                ));
+        if self.pool.is_none() && self.config.workers > 1 && self.closed_bytes >= PARALLEL_MIN_BYTES
+        {
+            match Pool::spawn(Arc::clone(&codec), self.config.workers, self.obs.clone()) {
+                Ok(pool) => self.pool = Some(pool),
+                // No threads to spare (e.g. a process thread limit): keep
+                // compressing inline, which writes the same bytes.
+                Err(_) => self.config.workers = 1,
             }
-            self.pool
-                .as_ref()
-                // pbc-allow(panic): pool created in the branch above
-                .expect("pool spawned above")
-                .work_tx
+        }
+        if let Some(pool) = &self.pool {
+            pool.work_tx
                 .as_ref()
                 // pbc-allow(panic): work channel closes only when the pool is dropped
                 .expect("work channel open while writing")

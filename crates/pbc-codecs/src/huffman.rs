@@ -460,7 +460,9 @@ pub fn decompress_with_table_bits(input: &[u8], table_bits: u8) -> Result<Vec<u8
         return Ok(Vec::new());
     };
     let decode = FastDecodeTable::build(&table, table_bits);
-    let mut out = Vec::with_capacity(raw_len);
+    // Every code is at least one bit long, so the payload bounds the
+    // output; the declared length is untrusted.
+    let mut out = Vec::with_capacity(raw_len.min(payload.len().saturating_mul(8)));
     let mut bits = FastBits::new(payload);
     while out.len() < raw_len {
         bits.refill();
@@ -499,7 +501,9 @@ pub fn decompress_branchy(input: &[u8]) -> Result<Vec<u8>> {
         return Ok(Vec::new());
     };
     let decode = DecodeTable::build(&table);
-    let mut out = Vec::with_capacity(raw_len);
+    // Every code is at least one bit long, so the payload bounds the
+    // output; the declared length is untrusted.
+    let mut out = Vec::with_capacity(raw_len.min(payload.len().saturating_mul(8)));
     let mut reader = BitReader::new(payload);
     while out.len() < raw_len {
         // Peek up to MAX_CODE_LEN bits (shorter near the end of the stream).

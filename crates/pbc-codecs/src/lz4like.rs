@@ -13,6 +13,10 @@ use crate::lz77::{MatchFinder, MatchFinderConfig, MIN_MATCH};
 use crate::traits::{Codec, DictCodec};
 use crate::varint;
 
+/// Most output bytes one input byte can describe: each 255-valued length
+/// extension byte adds 255 bytes to a literal run or a match.
+const MAX_EXPANSION: usize = 255;
+
 /// LZ4-like compressor (see module docs).
 #[derive(Debug, Clone)]
 pub struct Lz4Like {
@@ -74,9 +78,15 @@ impl Lz4Like {
 
     fn decompress_internal(&self, input: &[u8], dict: &[u8]) -> Result<Vec<u8>> {
         let (raw_len, mut pos) = varint::read_usize(input, 0)?;
-        let mut out = Vec::with_capacity(dict.len() + raw_len);
+        let target = dict
+            .len()
+            .checked_add(raw_len)
+            .ok_or_else(|| CodecError::corrupt("lz4 declared length overflows"))?;
+        // The declared length is untrusted: reserve no more than the input
+        // can describe and grow past that only as output is produced.
+        let mut out =
+            Vec::with_capacity(dict.len() + raw_len.min(input.len().saturating_mul(MAX_EXPANSION)));
         out.extend_from_slice(dict);
-        let target = dict.len() + raw_len;
         while out.len() < target {
             let token = *input.get(pos).ok_or(CodecError::UnexpectedEof {
                 context: "lz4 token",
@@ -107,6 +117,9 @@ impl Lz4Like {
                 pos = p;
             }
             let match_len = match_len + MIN_MATCH;
+            if match_len > target - out.len() {
+                return Err(CodecError::corrupt("lz4 match overruns declared size"));
+            }
             if offset == 0 || offset > out.len() {
                 return Err(CodecError::InvalidOffset {
                     offset,

@@ -29,6 +29,12 @@ const LC: u32 = 3;
 const LEN_TREE_LIMIT: usize = 254;
 /// Escape value in the length tree signalling a direct 32-bit length.
 const LEN_ESCAPE: u32 = 255;
+/// Cap on the up-front output reservation, as a multiple of the input
+/// length. The range coder has no finite maximum expansion (one escaped
+/// match length codes up to `max_match` bytes), so the buffer reserves at
+/// most this much for an untrusted declared length and grows past it only
+/// as output is produced.
+const RESERVE_EXPANSION: usize = 16;
 
 /// LZMA-like compressor (see module docs).
 #[derive(Debug, Clone)]
@@ -115,17 +121,22 @@ impl LzmaLike {
         }
     }
 
-    fn decode_offset(dec: &mut RangeDecoder<'_>, model: &mut Model) -> usize {
+    fn decode_offset(dec: &mut RangeDecoder<'_>, model: &mut Model) -> Result<usize> {
         let slot = dec.decode_bittree(&mut model.slot_tree, 6);
         let value = match slot {
             0 => 0u32,
             1 => 1u32,
             _ => {
+                // The 6-bit slot tree decodes up to 63, but offsets are
+                // `u32`, so the encoder never writes a slot above 32.
                 let extra_bits = slot - 1;
-                (1 << extra_bits) | dec.decode_direct(extra_bits)
+                let top = 1u32
+                    .checked_shl(extra_bits)
+                    .ok_or_else(|| CodecError::corrupt("lzma offset slot out of range"))?;
+                top | dec.decode_direct(extra_bits)
             }
         };
-        value as usize + 1
+        Ok(value as usize + 1)
     }
 }
 
@@ -175,7 +186,8 @@ impl Codec for LzmaLike {
         let payload = &input[pos..];
         let mut dec = RangeDecoder::new(payload)?;
         let mut model = Model::new();
-        let mut out: Vec<u8> = Vec::with_capacity(raw_len);
+        let mut out: Vec<u8> =
+            Vec::with_capacity(raw_len.min(input.len().saturating_mul(RESERVE_EXPANSION)));
         let mut prev_byte = 0u8;
         while out.len() < raw_len {
             if dec.decode_bit(&mut model.is_match[0]) == 0 {
@@ -185,14 +197,19 @@ impl Codec for LzmaLike {
                 prev_byte = b;
             } else {
                 let len = Self::decode_length(&mut dec, &mut model);
-                let offset = Self::decode_offset(&mut dec, &mut model);
+                let offset = Self::decode_offset(&mut dec, &mut model)?;
+                if len > self.config.max_match {
+                    return Err(CodecError::corrupt(
+                        "lzma match longer than the encoder emits",
+                    ));
+                }
                 if offset > out.len() {
                     return Err(CodecError::InvalidOffset {
                         offset,
                         position: out.len(),
                     });
                 }
-                if out.len() + len > raw_len + 64 {
+                if out.len() + len > raw_len.saturating_add(64) {
                     return Err(CodecError::corrupt("lzma match overruns declared size"));
                 }
                 let start = out.len() - offset;

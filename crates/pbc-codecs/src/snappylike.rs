@@ -28,6 +28,10 @@ const TAG_COPY1: u8 = 0b01;
 const TAG_COPY2: u8 = 0b10;
 const TAG_COPY4: u8 = 0b11;
 
+/// Most output bytes one input byte can describe: a three-byte copy-2
+/// element emits up to 64 bytes.
+const MAX_EXPANSION: usize = 22;
+
 impl SnappyLike {
     /// Create the codec with a fast match-finder profile restricted to
     /// Snappy's 64 KiB window.
@@ -115,7 +119,9 @@ impl Codec for SnappyLike {
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>> {
         let (raw_len, mut pos) = varint::read_usize(input, 0)?;
-        let mut out = Vec::with_capacity(raw_len);
+        // The declared length is untrusted: reserve no more than the input
+        // can describe and grow past that only as output is produced.
+        let mut out = Vec::with_capacity(raw_len.min(input.len().saturating_mul(MAX_EXPANSION)));
         while out.len() < raw_len {
             let tag = *input.get(pos).ok_or(CodecError::UnexpectedEof {
                 context: "snappy tag",
@@ -187,6 +193,9 @@ impl Codec for SnappyLike {
                             (len, offset)
                         }
                     };
+                    if len > raw_len - out.len() {
+                        return Err(CodecError::corrupt("snappy copy overruns declared size"));
+                    }
                     if offset == 0 || offset > out.len() {
                         return Err(CodecError::InvalidOffset {
                             offset,

@@ -26,6 +26,11 @@ use crate::lz77::{MatchFinder, MatchFinderConfig, MIN_MATCH};
 use crate::traits::{Codec, DictCodec};
 use crate::varint;
 
+/// Cap on the up-front output reservation, as a multiple of the decoded
+/// literal and sequence streams (a match length is an unbounded varint, so
+/// there is no finite maximum expansion to reserve exactly).
+const RESERVE_EXPANSION: usize = 16;
+
 /// Zstd-like compressor with a level knob (1 = fastest, 19 = strongest).
 #[derive(Debug, Clone)]
 pub struct ZstdLike {
@@ -109,15 +114,24 @@ impl ZstdLike {
         let (literals, pos) = read_block(input, pos)?;
         let (sequences, _pos) = read_block(input, pos)?;
 
-        let mut out = Vec::with_capacity(dict.len() + raw_len);
+        let target = dict
+            .len()
+            .checked_add(raw_len)
+            .ok_or_else(|| CodecError::corrupt("zstd declared length overflows"))?;
+        // The declared length is untrusted: reserve no more than a fixed
+        // multiple of the decoded streams and grow past that only as
+        // output is produced.
+        let streams_len = literals.len() + sequences.len();
+        let mut out = Vec::with_capacity(
+            dict.len() + raw_len.min(streams_len.saturating_mul(RESERVE_EXPANSION)),
+        );
         out.extend_from_slice(dict);
-        let target = dict.len() + raw_len;
         let mut lit_pos = 0usize;
         let mut seq_pos = 0usize;
         for i in 0..token_count {
             let (lit_len, p) = varint::read_usize(&sequences, seq_pos)?;
             seq_pos = p;
-            if lit_pos + lit_len > literals.len() {
+            if lit_len > literals.len() - lit_pos {
                 return Err(CodecError::UnexpectedEof {
                     context: "zstd literal stream",
                 });
@@ -135,7 +149,10 @@ impl ZstdLike {
             }
             let (len_code, p) = varint::read_usize(&sequences, seq_pos)?;
             seq_pos = p;
-            let match_len = len_code + MIN_MATCH;
+            let match_len = len_code.saturating_add(MIN_MATCH);
+            if match_len > target.saturating_sub(out.len()) {
+                return Err(CodecError::corrupt("zstd match overruns declared size"));
+            }
             if offset > out.len() {
                 return Err(CodecError::InvalidOffset {
                     offset,
@@ -180,7 +197,7 @@ fn read_block(input: &[u8], pos: usize) -> Result<(Vec<u8>, usize)> {
         context: "zstd block flag",
     })?;
     let (len, pos) = varint::read_usize(input, pos + 1)?;
-    if pos + len > input.len() {
+    if len > input.len() - pos {
         return Err(CodecError::UnexpectedEof {
             context: "zstd block payload",
         });

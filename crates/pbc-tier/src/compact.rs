@@ -28,8 +28,8 @@ use std::path::PathBuf;
 
 use pbc_archive::reader::Scan;
 use pbc_archive::{
-    entry_size_estimate, select_codec_over_blocks, spread_sample_indices, BlockCodec, CodecSpec,
-    Entry, SegmentConfig, SegmentReader, SegmentSummary, SegmentWriter, WriterObs,
+    entry_size_estimate, spread_sample_indices, BlockCodec, CodecSpec, Entry, SegmentConfig,
+    SegmentReader, SegmentSummary, SegmentWriter, WriterObs,
 };
 
 use crate::error::Result;
@@ -66,10 +66,33 @@ pub struct MergeOutcome {
     /// sorted order, so consecutive outputs cover disjoint, increasing
     /// ranges). Empty when nothing survived.
     pub outputs: Vec<MergeOutput>,
-    /// The codec retrained on the merged corpus — callers reuse it for
-    /// subsequent spills. Absent when the caller supplied a codec (no
-    /// retraining ran) or the inputs were empty.
-    pub codec: Option<BlockCodec>,
+    /// The codec selected for the merged corpus — callers reuse it for
+    /// subsequent spills. Absent when the caller supplied a codec
+    /// ([`MergeCodec::Use`]) or the inputs were empty.
+    pub codec: Option<SelectedCodec>,
+}
+
+/// A codec chosen by full trial selection, with the exact sample blocks
+/// it was chosen on. Selection is deterministic, so the same samples
+/// always select the same codec: a later selection over blocks equal to
+/// `samples` can reuse `codec` instead.
+#[derive(Debug, Clone)]
+pub struct SelectedCodec {
+    /// The trained codec.
+    pub codec: BlockCodec,
+    /// The sample blocks it was selected on (at most
+    /// `SegmentConfig::auto_sample_blocks` blocks).
+    pub samples: Vec<Vec<Entry>>,
+}
+
+/// How [`merge_segments`] picks its outputs' codec.
+pub enum MergeCodec<'a> {
+    /// Write every output with this codec; select nothing.
+    Use(CodecSpec),
+    /// Select over blocks sampled across the inputs with this function
+    /// (full trial selection, or a reuse when the samples are known) and
+    /// report the result in [`MergeOutcome::codec`].
+    Select(&'a dyn Fn(Vec<Vec<Entry>>) -> SelectedCodec),
 }
 
 /// One input to the merge, newest first by position in the slice.
@@ -97,14 +120,19 @@ struct OpenOutput {
     estimated_bytes: u64,
 }
 
-/// Train a codec for the merged output by sampling up to
+/// Select a codec for the merged output by sampling up to
 /// `config.auto_sample_blocks` blocks spread across the *combined* block
 /// count of all inputs — genuinely across the corpus, unlike the streaming
-/// writer which can only sample its buffered window.
-fn retrained_codec(readers: &[&SegmentReader], config: &SegmentConfig) -> Result<CodecSpec> {
+/// writer which can only sample its buffered window. `None` when the
+/// inputs hold no blocks.
+fn retrained_codec(
+    readers: &[&SegmentReader],
+    config: &SegmentConfig,
+    select: &dyn Fn(Vec<Vec<Entry>>) -> SelectedCodec,
+) -> Result<Option<SelectedCodec>> {
     let total_blocks: usize = readers.iter().map(|r| r.block_count()).sum();
     if total_blocks == 0 {
-        return Ok(CodecSpec::Raw);
+        return Ok(None);
     }
     let ordinals = spread_sample_indices(total_blocks, config.auto_sample_blocks.max(1));
     let mut samples: Vec<Vec<Entry>> = Vec::with_capacity(ordinals.len());
@@ -119,8 +147,7 @@ fn retrained_codec(readers: &[&SegmentReader], config: &SegmentConfig) -> Result
             remaining -= reader.block_count();
         }
     }
-    let refs: Vec<&[Entry]> = samples.iter().map(|b| b.as_slice()).collect();
-    Ok(CodecSpec::Pretrained(select_codec_over_blocks(&refs)))
+    Ok(Some(select(samples)))
 }
 
 /// Merge `readers` (newest first) into fresh segments allocated by
@@ -135,13 +162,14 @@ fn retrained_codec(readers: &[&SegmentReader], config: &SegmentConfig) -> Result
 /// `split_bytes` bounds each output partition's estimated serialized
 /// payload; `None` writes a single output regardless of size.
 ///
-/// `codec` controls training cost: `Some(spec)` writes the outputs with
-/// that codec and trains nothing (`outcome.codec` stays `None`); `None`
-/// retrains by sampling blocks across all inputs and reports the trained
-/// codec for the caller to reuse. Retraining runs full candidate
-/// selection — seconds of CPU for PBC pattern extraction — so callers
-/// reserve it for large, stable runs and reuse a shared codec for small
-/// incremental jobs, where the per-block raw fallback bounds any drift.
+/// `codec` controls training cost: [`MergeCodec::Use`] writes the outputs
+/// with that codec and trains nothing (`outcome.codec` stays `None`);
+/// [`MergeCodec::Select`] samples blocks across all inputs, hands them to
+/// the selection function, and reports its result for the caller to
+/// reuse. Full candidate selection costs seconds of CPU for PBC pattern
+/// extraction, so callers reserve it for large, stable runs and reuse a
+/// shared codec for small incremental jobs, where the per-block raw
+/// fallback bounds any drift.
 ///
 /// `writer_obs` is cloned into every output writer so block-encode
 /// counters and latency land in the caller's metrics; pass
@@ -151,7 +179,7 @@ pub fn merge_segments(
     readers: &[&SegmentReader],
     config: &SegmentConfig,
     drop_tombstones: bool,
-    codec: Option<CodecSpec>,
+    codec: MergeCodec<'_>,
     split_bytes: Option<u64>,
     writer_obs: &WriterObs,
     next_output: &mut dyn FnMut() -> (u64, String, PathBuf),
@@ -192,7 +220,7 @@ fn merge_into(
     readers: &[&SegmentReader],
     config: &SegmentConfig,
     drop_tombstones: bool,
-    codec: Option<CodecSpec>,
+    codec: MergeCodec<'_>,
     split_bytes: Option<u64>,
     writer_obs: &WriterObs,
     next_output: &mut dyn FnMut() -> (u64, String, PathBuf),
@@ -200,15 +228,14 @@ fn merge_into(
     open: &mut Option<OpenOutput>,
 ) -> Result<MergeOutcome> {
     let (codec_spec, retrained) = match codec {
-        Some(spec) => (spec, None),
-        None => {
-            let spec = retrained_codec(readers, config)?;
-            let trained = match &spec {
-                CodecSpec::Pretrained(codec) => Some(codec.clone()),
-                _ => None,
-            };
-            (spec, trained)
-        }
+        MergeCodec::Use(spec) => (spec, None),
+        MergeCodec::Select(select) => match retrained_codec(readers, config, select)? {
+            Some(selected) => (
+                CodecSpec::Pretrained(selected.codec.clone()),
+                Some(selected),
+            ),
+            None => (CodecSpec::Raw, None),
+        },
     };
     let mut sources: Vec<MergeSource<'_>> = readers
         .iter()

@@ -94,15 +94,19 @@ pub struct TierConfig {
     /// behavior, kept for comparison.
     pub cache_policy: CachePolicy,
     /// How spill and compaction segments are written (block size, codec
-    /// selection, workers).
+    /// selection, workers — one per core by default, engaged once a
+    /// segment passes 1 MiB).
     pub segment: SegmentConfig,
     /// Codec for values while they sit in the hot tier.
     pub hot_codec: ValueCodec,
     /// Select the spill codec once (on the first spill) and reuse it for
     /// every later spill — the paper's "train offline, ship the dictionary"
-    /// flow, avoiding a retraining pass per spill. Compaction still
-    /// retrains on the merged corpus and refreshes the shared codec; the
-    /// per-block raw fallback bounds any drift in between.
+    /// flow, avoiding a retraining pass per spill. Compaction jobs that
+    /// rewrite the majority of cold records retrain on samples of the
+    /// merged corpus and refresh the shared codec — unless those samples
+    /// are exactly the blocks the shared codec was selected on, in which
+    /// case the selection (deterministic) is reused rather than repeated.
+    /// The per-block raw fallback bounds any drift in between.
     pub reuse_spill_codec: bool,
     /// Trigger thresholds (segment count, dead-entry ratio), the per-job
     /// L0 input bound, and the L1 partition split size for the compaction

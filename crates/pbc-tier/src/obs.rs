@@ -64,6 +64,8 @@ pub(crate) struct TierObs {
     pub(crate) spilled_entries: Counter,
     pub(crate) compactions: Counter,
     pub(crate) segments_retired: Counter,
+    pub(crate) codec_selections: Counter,
+    pub(crate) codec_selections_reused: Counter,
     pub(crate) background_errors: Counter,
 
     // Cold-tier gauges, published at every segment-set commit.
@@ -81,6 +83,7 @@ pub(crate) struct TierObs {
     pub(crate) spill_ns: Histogram,
     pub(crate) compaction_ns: Histogram,
     pub(crate) cache_fetch_ns: Histogram,
+    pub(crate) codec_selection_ns: Histogram,
 
     // Archive-layer hooks, cloned into every reader/writer the store
     // creates.
@@ -121,6 +124,8 @@ impl TierObs {
             spilled_entries: counter("pbc_tier_spilled_entries_total"),
             compactions: counter("pbc_tier_compactions_total"),
             segments_retired: counter("pbc_tier_segments_retired_total"),
+            codec_selections: counter("pbc_tier_codec_selections_total"),
+            codec_selections_reused: counter("pbc_tier_codec_selections_reused_total"),
             background_errors: counter("pbc_tier_background_errors_total"),
             cold_records: gauge("pbc_tier_cold_records"),
             cold_tombstones: gauge("pbc_tier_cold_tombstones"),
@@ -134,6 +139,7 @@ impl TierObs {
             spill_ns: histogram("pbc_tier_spill_ns"),
             compaction_ns: histogram("pbc_tier_compaction_ns"),
             cache_fetch_ns: histogram("pbc_tier_cache_fetch_ns"),
+            codec_selection_ns: histogram("pbc_tier_codec_selection_ns"),
             reader: ReaderObs {
                 blocks_decoded: counter("pbc_archive_blocks_decoded_total"),
                 decode_ns: histogram("pbc_archive_block_decode_ns"),

@@ -52,13 +52,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 use parking_lot::{Mutex, RwLock};
-use pbc_archive::{select_codec_over_blocks, BlockCodec, CodecSpec, Entry, SegmentReader};
+use pbc_archive::{select_codec_over_blocks, CodecSpec, Entry, SegmentReader};
 use pbc_obs::{Event, MetricsRegistry, TraceEvent};
 use pbc_store::TierStore;
 use pbc_wal::{CheckpointSummary, RecoveryReport, ReplayOp, Wal, WalConfig, WalStats};
 
 use crate::cache::BlockCache;
-use crate::compact::merge_segments;
+use crate::compact::{merge_segments, MergeCodec, SelectedCodec};
 use crate::config::TierConfig;
 use crate::error::{Result, TierError};
 use crate::maintenance::{maintenance_loop, MaintSignal};
@@ -568,8 +568,10 @@ pub(crate) struct TierInner {
     commit_lock: Mutex<()>,
     /// The shared trained codec spills reuse (when
     /// [`TierConfig::reuse_spill_codec`] is on): selected on the first
-    /// spill, refreshed by every majority-rewrite compaction job.
-    spill_codec: Mutex<Option<BlockCodec>>,
+    /// spill, refreshed by every majority-rewrite compaction job. Its
+    /// sample blocks let a compaction whose samples are the very blocks it
+    /// was selected on skip the repeat selection.
+    spill_codec: Mutex<Option<SelectedCodec>>,
     next_segment_id: AtomicU64,
     /// Generation of the currently committed manifest; every segment-set
     /// commit writes `generation + 1`.
@@ -1832,8 +1834,8 @@ impl TierInner {
             return self.config.segment.codec.clone();
         }
         let mut cached = self.spill_codec.lock();
-        if let Some(codec) = cached.as_ref() {
-            return CodecSpec::Pretrained(codec.clone());
+        if let Some(shared) = cached.as_ref() {
+            return CodecSpec::Pretrained(shared.codec.clone());
         }
         // Pass 1: the block boundaries the writer will produce, computed
         // with the writer's own rule (entry_size_estimate + block_is_full)
@@ -1893,10 +1895,30 @@ impl TierInner {
                 sample_blocks[range_idx].push((key.clone(), stored));
             }
         }
-        let sample_refs: Vec<&[Entry]> = sample_blocks.iter().map(|b| b.as_slice()).collect();
-        let codec = select_codec_over_blocks(&sample_refs);
-        *cached = Some(codec.clone());
-        CodecSpec::Pretrained(codec)
+        let selected = self.select_codec(sample_blocks, None);
+        let spec = CodecSpec::Pretrained(selected.codec.clone());
+        *cached = Some(selected);
+        spec
+    }
+
+    /// Trial-select a codec over `samples` — unless they equal the blocks
+    /// `known` was selected on, in which case selection (deterministic)
+    /// would return `known` again and is skipped.
+    fn select_codec(
+        &self,
+        samples: Vec<Vec<Entry>>,
+        known: Option<&SelectedCodec>,
+    ) -> SelectedCodec {
+        if let Some(known) = known.filter(|known| known.samples == samples) {
+            self.obs.codec_selections_reused.inc();
+            return known.clone();
+        }
+        let timer = self.obs.codec_selection_ns.start_timer();
+        let refs: Vec<&[Entry]> = samples.iter().map(|b| b.as_slice()).collect();
+        let codec = select_codec_over_blocks(&refs);
+        timer.observe();
+        self.obs.codec_selections.inc();
+        SelectedCodec { codec, samples }
     }
 
     fn write_spill_segment(
@@ -2055,15 +2077,20 @@ impl TierInner {
         // until the next big merge retrains.
         let run_records: u64 = run_segments.iter().map(|s| s.records).sum();
         let total_records: u64 = snapshot.iter().map(|s| s.records).sum();
-        let reuse = self
-            .spill_codec
-            .lock()
-            .clone()
-            .filter(|_| self.config.reuse_spill_codec && run_records * 2 < total_records);
+        // A retraining job whose samples are exactly the blocks the shared
+        // codec was selected on reuses it instead (`select_codec`).
+        let shared = self.spill_codec.lock().clone();
+        let select = |samples| self.select_codec(samples, shared.as_ref());
+        let codec = match &shared {
+            Some(shared) if self.config.reuse_spill_codec && run_records * 2 < total_records => {
+                MergeCodec::Use(CodecSpec::Pretrained(shared.codec.clone()))
+            }
+            _ => MergeCodec::Select(&select),
+        };
         // Only committed jobs land in the histogram — aborted and failed
         // ones would skew it with durations of work that produced nothing.
         let timer = self.obs.compaction_ns.start_timer();
-        let result = self.merge_and_commit(job, &readers, reuse.map(CodecSpec::Pretrained));
+        let result = self.merge_and_commit(job, &readers, codec);
         match &result {
             Ok(Some(_)) => timer.observe(),
             _ => timer.cancel(),
@@ -2076,7 +2103,7 @@ impl TierInner {
         &self,
         job: &CompactionJob,
         readers: &[&SegmentReader],
-        codec: Option<CodecSpec>,
+        codec: MergeCodec<'_>,
     ) -> Result<Option<CompactionSummary>> {
         let dir = self.config.dir.clone();
         let next_id = &self.next_segment_id;
@@ -2211,7 +2238,7 @@ impl TierInner {
         self.obs.segments_retired.add(retired.len() as u64);
         // This job retrained on its merged run: future spills reuse the
         // fresher codec (per job, not per full rewrite).
-        if let Some(codec) = outcome.codec.clone() {
+        if let Some(codec) = outcome.codec {
             *self.spill_codec.lock() = Some(codec);
         }
         self.obs.compactions.inc();

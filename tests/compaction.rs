@@ -8,7 +8,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pbc::tier::{Manifest, PlannerConfig, TierConfig, TieredStore};
+use pbc::archive::format::Header;
+use pbc::archive::writer::PARALLEL_MIN_BYTES;
+use pbc::archive::{
+    select_codec_over_blocks, spread_sample_indices, Entry, SegmentConfig, SegmentReader,
+};
+use pbc::datagen::Dataset;
+use pbc::tier::{Manifest, PlannerConfig, TierConfig, TieredStore, LEVEL_L0, LEVEL_L1};
 
 struct TempDir(PathBuf);
 
@@ -510,4 +516,133 @@ fn pause_and_resume_gate_the_maintenance_thread() {
     // Drop while paused must still join cleanly (shutdown wins).
     store.pause_compaction();
     drop(store);
+}
+
+// ---------------- codec selection reuse and parallel segment build ----------------
+
+const SELECTION_RECORDS: usize = 20_000;
+
+fn hdfs_key(i: usize) -> Vec<u8> {
+    format!("hdfs:{i:08}").into_bytes()
+}
+
+/// Load `values` under [`hdfs_key`] into a fresh store and spill them all.
+fn load_and_flush(config: TierConfig, values: &[Vec<u8>]) -> TieredStore {
+    let store = TieredStore::open(config).unwrap();
+    for (i, v) in values.iter().enumerate() {
+        store.set(&hdfs_key(i), v).unwrap();
+    }
+    store.flush_all().unwrap();
+    store
+}
+
+/// `(file name, bytes)` of every segment the manifest names at `level`.
+fn segment_files(dir: &Path, level: u8) -> Vec<(String, Vec<u8>)> {
+    Manifest::load(dir)
+        .unwrap()
+        .unwrap()
+        .segments
+        .iter()
+        .filter(|s| s.level == level)
+        .map(|s| {
+            (
+                s.file_name.clone(),
+                std::fs::read(dir.join(&s.file_name)).unwrap(),
+            )
+        })
+        .collect()
+}
+
+fn counter(store: &TieredStore, name: &str) -> u64 {
+    store.metrics().snapshot().counters[name]
+}
+
+#[test]
+fn compaction_over_the_spill_samples_reuses_the_spill_selection() {
+    let (dir, _guard) = temp_dir("selection-reuse");
+    let values = Dataset::Hdfs.generate(SELECTION_RECORDS, 0x5e1e);
+    let store = load_and_flush(TierConfig::new(&dir), &values);
+
+    // The compaction samples the same spread blocks of the one L0 segment
+    // the spill selected on.
+    let l0 = segment_files(&dir, LEVEL_L0);
+    assert_eq!(l0.len(), 1, "one flush, one L0 segment");
+    let reader = SegmentReader::open(dir.join(&l0[0].0)).unwrap();
+    let samples: Vec<Vec<Entry>> = spread_sample_indices(reader.block_count(), 4)
+        .into_iter()
+        .map(|b| reader.read_block(b).unwrap())
+        .collect();
+    drop(reader);
+    store.compact().unwrap();
+
+    assert_eq!(counter(&store, "pbc_tier_codec_selections_total"), 1);
+    assert_eq!(counter(&store, "pbc_tier_codec_selections_reused_total"), 1);
+    assert_eq!(
+        store.metrics().snapshot().histograms["pbc_tier_codec_selection_ns"].count,
+        1
+    );
+    // Reuse changes no byte: every L1 header carries what a fresh
+    // selection on the compaction's samples picks.
+    let refs: Vec<&[Entry]> = samples.iter().map(|b| b.as_slice()).collect();
+    let fresh = select_codec_over_blocks(&refs);
+    let l1 = segment_files(&dir, LEVEL_L1);
+    assert!(!l1.is_empty());
+    for (name, bytes) in &l1 {
+        let (header, _) = Header::decode(bytes).unwrap();
+        assert_eq!(header.codec_id, fresh.id(), "{name}");
+        assert_eq!(header.artifacts, fresh.artifacts(), "{name}");
+    }
+    for i in (0..SELECTION_RECORDS).step_by(997) {
+        assert_eq!(store.get(&hdfs_key(i)).unwrap().as_ref(), Some(&values[i]));
+    }
+}
+
+#[test]
+fn compaction_over_drifted_samples_runs_a_fresh_selection() {
+    let (dir, _guard) = temp_dir("selection-drift");
+    let mut values = Dataset::Hdfs.generate(SELECTION_RECORDS, 0x5e1e);
+    let store = load_and_flush(TierConfig::new(&dir), &values);
+    // Overwrite every other key (a spread half) with android records.
+    let android = Dataset::Android.generate(SELECTION_RECORDS / 2, 0xa4d);
+    for (n, v) in android.into_iter().enumerate() {
+        store.set(&hdfs_key(2 * n), &v).unwrap();
+        values[2 * n] = v;
+    }
+    store.flush_all().unwrap();
+    store.compact().unwrap();
+
+    // The second spill reuses the shared codec without selecting; the
+    // compaction's samples differ from the first spill's, so it selects.
+    assert_eq!(counter(&store, "pbc_tier_codec_selections_total"), 2);
+    assert_eq!(counter(&store, "pbc_tier_codec_selections_reused_total"), 0);
+    for i in (0..SELECTION_RECORDS).step_by(101) {
+        assert_eq!(store.get(&hdfs_key(i)).unwrap().as_ref(), Some(&values[i]));
+    }
+}
+
+#[test]
+fn tier_segments_do_not_depend_on_the_worker_count() {
+    let values = Dataset::Hdfs.generate(SELECTION_RECORDS, 0x5e1e);
+    let build = |tag: &str, segment: SegmentConfig| {
+        let (dir, guard) = temp_dir(tag);
+        let store = load_and_flush(TierConfig::new(&dir).with_segment_config(segment), &values);
+        let l0 = segment_files(&dir, LEVEL_L0);
+        store.compact().unwrap();
+        let l1 = segment_files(&dir, LEVEL_L1);
+        drop(store);
+        drop(guard);
+        (l0, l1)
+    };
+    let single = build("workers-1", SegmentConfig::default().with_workers(1));
+    let raw: usize = values.iter().map(|v| v.len()).sum();
+    assert!(
+        raw > PARALLEL_MIN_BYTES,
+        "the pool must engage: {raw} bytes"
+    );
+    assert!(!single.0.is_empty() && !single.1.is_empty());
+    assert_eq!(build("workers-default", SegmentConfig::default()), single);
+    assert_eq!(
+        build("workers-4", SegmentConfig::default().with_workers(4)),
+        single
+    );
 }
